@@ -1,15 +1,15 @@
-//! Simulation-kernel microbenchmarks: scheduler backend throughput (the
-//! binary-heap reference vs the calendar-queue fast path) and one Fig. 2
-//! scenario point per engine. `perf_report` measures the same workloads with
-//! its own timing loop to produce `BENCH_1.json`; this bench keeps them under
-//! criterion for regression tracking.
+//! Simulation-kernel microbenchmarks: scheduler throughput on the
+//! binary-heap `EventQueue` and one Fig. 2 scenario point per engine.
+//! `bench_gate` measures the same churn workload with its own timing loop
+//! for `BENCH_7.json`; this bench keeps it under criterion for regression
+//! tracking.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use experiments::scenario::{
     run_scenario_once_traced, run_scenario_once_with, BufferDepth, Engine, QueueKind,
     ScenarioConfig, Transport,
 };
-use simevent::{CalendarQueue, EventQueue, QueueBackend, SimDuration, SimTime};
+use simevent::{EventQueue, SimDuration, SimTime};
 use simtrace::{NullSink, TraceHandle};
 
 /// Deterministic 64-bit LCG (MMIX constants) for workload jitter.
@@ -26,8 +26,9 @@ impl Lcg {
 }
 
 /// Hold-and-churn: keep `pending` events in flight, pop and reschedule with
-/// up to 1 ms of jitter (see `perf_report` for the BENCH_1.json version).
-fn churn<Q: QueueBackend<u64>>(mut q: Q, pending: usize, events: u64) {
+/// up to 1 ms of jitter (see `experiments::gate` for the BENCH_7.json
+/// version).
+fn churn(mut q: EventQueue<u64>, pending: usize, events: u64) {
     let mut rng = Lcg(0x9E37_79B9_7F4A_7C15);
     for i in 0..pending {
         q.schedule(SimTime::from_nanos(rng.next_below(1_000_000)), i as u64);
@@ -41,24 +42,13 @@ fn churn<Q: QueueBackend<u64>>(mut q: Q, pending: usize, events: u64) {
     }
 }
 
-fn bench_backends(c: &mut Criterion) {
+fn bench_queue(c: &mut Criterion) {
     const PENDING: usize = 65_536;
     const EVENTS: u64 = 100_000;
     let mut g = c.benchmark_group("kernel");
     g.throughput(Throughput::Elements(EVENTS));
     g.bench_function("heap_churn", |b| {
         b.iter(|| churn(black_box(EventQueue::new()), PENDING, EVENTS))
-    });
-    g.bench_function("calendar_churn", |b| {
-        // Geometry matched to the load per Brown's sizing rule: ~2 events per
-        // bucket, window spanning the 1 ms jitter horizon.
-        b.iter(|| {
-            churn(
-                black_box(CalendarQueue::with_geometry(7, 32_768)),
-                PENDING,
-                EVENTS,
-            )
-        })
     });
     g.finish();
 }
@@ -135,7 +125,7 @@ fn assert_null_sink_is_free(c: &mut Criterion) {
 
 criterion_group!(
     kernel,
-    bench_backends,
+    bench_queue,
     bench_engines,
     bench_trace_overhead,
     assert_null_sink_is_free

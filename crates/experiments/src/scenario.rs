@@ -322,10 +322,11 @@ impl ScenarioConfig {
 
 /// Which simulation engine evaluates a point.
 ///
-/// `Fast` is the optimised path (calendar-queue scheduler, slab lookups,
-/// timer cancellation); `Reference` is the seed implementation (binary-heap
-/// scheduler, map lookups, full-scan flushes), kept so the perf report can
-/// measure before/after in one process. Both produce identical metrics.
+/// `Fast` is the optimised path (slab lookups, batched flushes, timer
+/// cancellation); `Reference` is the seed implementation (map lookups,
+/// full-scan flushes, spurious timer fires, a Box per packet), kept so
+/// `bench_gate` can measure before/after in one process. Both run on the
+/// same binary-heap scheduler and produce identical metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Engine {
     /// Optimised kernel (the default everywhere).

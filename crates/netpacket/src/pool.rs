@@ -3,7 +3,7 @@
 //! Every packet travelling the simulated network lives in a [`PacketPool`]
 //! slot and is referred to by a 8-byte generation-checked [`PacketRef`].
 //! Scheduler events then carry the handle instead of the ~120-byte
-//! [`Packet`] struct, so calendar-bucket sifts memcpy 16-byte events, and
+//! [`Packet`] struct, so scheduler heap sifts memcpy 16-byte events, and
 //! slot storage is recycled: once the pool has grown to the simulation's
 //! live high-water mark, inserting and removing packets performs **zero**
 //! heap allocation.
@@ -14,8 +14,8 @@
 //! `Box<Packet>` per insert — the seed's allocation model, where every
 //! packet hop paid a malloc/free pair. Handles, lookup semantics and
 //! simulation results are bit-identical in both modes; only the allocator
-//! traffic differs, which is exactly what the perf report's `alloc/sec`
-//! metric and the debug-build allocation counter measure.
+//! traffic differs, which is exactly what the perf gate's pool section and
+//! the debug-build allocation counter measure.
 //!
 //! # Generation checks
 //!
@@ -57,8 +57,8 @@ struct Slot {
     storage: Storage,
 }
 
-/// Cumulative allocation statistics, for the perf report's `alloc/sec`
-/// metric and the debug-build allocation-counter test.
+/// Cumulative allocation statistics, for the perf gate's pool section and
+/// the debug-build allocation-counter test.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PoolStats {
     /// Packets ever inserted.
@@ -226,6 +226,17 @@ impl PacketPool {
     /// Cumulative allocation statistics.
     pub fn stats(&self) -> PoolStats {
         self.stats
+    }
+
+    /// Fold another pool's counters into this one's, as when a sharded run
+    /// hands its per-shard pools back to the whole network: `inserts` and
+    /// `heap_allocs` add up exactly, while `high_water` becomes the sum of
+    /// the peaks — an upper bound, since the pools need not have peaked at
+    /// the same instant.
+    pub fn absorb_stats(&mut self, other: PoolStats) {
+        self.stats.inserts += other.inserts;
+        self.stats.heap_allocs += other.heap_allocs;
+        self.stats.high_water = self.stats.high_water.saturating_add(other.high_water);
     }
 
     /// Release slab capacity beyond the current live population. Vacant

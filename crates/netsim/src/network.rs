@@ -42,7 +42,7 @@ pub(crate) const SAMPLE_LANE: u16 = 0xFFFE;
 /// Simulation events.
 ///
 /// Events carry [`PacketRef`] pool handles, not packets: a `ScheduledEvent`
-/// is ~16 bytes, so calendar-bucket sifts stop memcpying ~120-byte packet
+/// is ~16 bytes, so scheduler heap sifts stop memcpying ~120-byte packet
 /// structs around.
 #[derive(Debug)]
 pub enum Event {
@@ -1192,9 +1192,9 @@ impl Network {
 
     /// Switch per-packet processing to the seed implementation's algorithms:
     /// `BTreeMap` endpoint lookups, drain-every-endpoint flushes with a fresh
-    /// allocation per flush, and full-scan timer re-arms. Kept — like
-    /// `simevent::EventQueue` — as the measured "before" of the perf report
-    /// (`BENCH_1.json`); both modes produce identical simulation results.
+    /// allocation per flush, and full-scan timer re-arms. Kept as the
+    /// measured "before" of `bench_gate`'s reference engine
+    /// (`BENCH_7.json`); both modes produce identical simulation results.
     pub fn set_reference_mode(&mut self, on: bool) {
         self.reference_mode = on;
         // The seed also boxed every packet individually; mirror that in the
@@ -1391,6 +1391,7 @@ impl Network {
             self.latency_ack.merge(&sh.latency_ack);
             self.throughput.merge(&sh.throughput);
             self.orphan_packets += sh.orphan_packets;
+            self.pool.absorb_stats(sh.pool.stats());
             // Safety net: every completion should already be synced by the
             // engine's mini-loops; copy any stragglers.
             for (i, rec) in sh.flows.iter().enumerate() {
@@ -1664,6 +1665,12 @@ impl Network {
 
     /// Packet-pool allocation counters (inserts, heap allocations, high-water
     /// occupancy) — the perf harness's alloc accounting.
+    ///
+    /// After [`Simulation::run_sharded`](crate::Simulation::run_sharded) the
+    /// counters are the sum over the shards' pools. A packet crossing shards
+    /// is inserted again at the destination shard, so `inserts` is at least
+    /// the serial run's; `high_water` is the sum of the per-shard peaks, an
+    /// upper bound on the simultaneous total.
     pub fn pool_stats(&self) -> netpacket::PoolStats {
         self.pool.stats()
     }

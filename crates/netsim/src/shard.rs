@@ -657,6 +657,31 @@ mod tests {
     }
 
     #[test]
+    fn pool_stats_survive_sharded_runs() {
+        // Each shard owns its own packet pool; reassembling the network must
+        // keep their counters. A packet crossing shards is re-inserted at
+        // the destination, so more shards never mean fewer inserts.
+        let stats = |shards| {
+            let topo = fat_tree(4);
+            let n = topo.total_hosts();
+            let mut sim =
+                Simulation::new(Network::from_topology(topo), all_to_one_flows(n, 50_000));
+            assert!(sim.run_sharded(shards).app_done);
+            sim.net.pool_stats()
+        };
+        let one = stats(1);
+        assert!(one.inserts > 0 && one.heap_allocs > 0, "{one:?}");
+        for shards in [2, 4] {
+            let many = stats(shards);
+            assert!(
+                many.inserts >= one.inserts,
+                "{shards} shards: {many:?} vs {one:?}"
+            );
+            assert!(many.heap_allocs > 0 && many.high_water > 0, "{many:?}");
+        }
+    }
+
+    #[test]
     fn fat_tree_delivers_cross_pod_traffic() {
         // Sanity on the fabric itself: every flow crosses pods and completes.
         let topo = fat_tree(4);

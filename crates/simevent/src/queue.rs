@@ -47,15 +47,15 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
-/// The operations a deterministic event queue must provide, implemented by
-/// both the reference [`EventQueue`] (binary heap) and the fast-path
-/// [`CalendarQueue`](crate::CalendarQueue) (time-bucketed calendar).
+/// The operations a deterministic event queue must provide. [`EventQueue`]
+/// is the only implementation in this crate; the trait is the seam the
+/// [`Scheduler`](crate::Scheduler) is generic over, so a wrapper (for
+/// example one that times every call) can stand in for it.
 ///
-/// The contract, which the cross-backend proptests enforce: pops are globally
-/// ordered by `(time, schedule order)`; cancellation is O(1) lazy deletion
-/// with live [`len`](Self::len) accounting; two backends fed the same
-/// operation sequence pop the same event sequence and return the same
-/// cancellation results.
+/// The contract, which the model-based proptest below enforces against a
+/// sorted-`Vec` oracle: pops are globally ordered by `(time, tie)` where
+/// `tie` is [`TieBreak::key`] of the schedule order and lane; cancellation
+/// is O(1) lazy deletion with live [`len`](Self::len) accounting.
 pub trait QueueBackend<E> {
     /// An empty queue using the default FIFO tie-break.
     fn empty() -> Self
@@ -104,12 +104,13 @@ pub trait QueueBackend<E> {
     fn shrink_to_fit(&mut self) {}
 }
 
-/// A deterministic event queue (reference implementation, binary heap).
+/// A deterministic event queue (binary heap).
 ///
 /// Events are popped in nondecreasing time order; events scheduled for the
-/// same instant are popped in scheduling order. This is the semantically
-/// obvious implementation the calendar queue is checked against; the hot
-/// simulation path uses [`CalendarQueue`](crate::CalendarQueue).
+/// same instant are popped in scheduling order (or by the configured
+/// [`TieBreak`]). The simulator's traffic keeps at most a few hundred events
+/// pending and cancels almost none of them, the regime where a binary heap
+/// beats bucketed queues on both speed and memory (DESIGN.md §12).
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
@@ -332,19 +333,26 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(1 << 45), 'd');
         q.schedule(SimTime::from_nanos(30), 'c');
         q.schedule(SimTime::from_nanos(10), 'a');
         q.schedule(SimTime::from_nanos(20), 'b');
         let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!['a', 'b', 'c']);
+        assert_eq!(order, vec!['a', 'b', 'c', 'd']);
     }
 
     #[test]
     fn same_instant_is_fifo() {
+        // Plain and cancellable events share one sequence counter, so a
+        // mixed same-instant batch still pops in scheduling order.
         let mut q = EventQueue::new();
         let t = SimTime::from_micros(7);
         for i in 0..100 {
-            q.schedule(t, i);
+            if i % 3 == 0 {
+                let _ = q.schedule_cancellable(t, i);
+            } else {
+                q.schedule(t, i);
+            }
         }
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
@@ -468,6 +476,16 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_nanos(3), 3)), "2 was skipped");
         assert!(!q.cancel(h3), "cancel after fire reports false");
         assert!(q.pop().is_none());
+
+        // The RTO pattern: cancel and rearm slightly later, over and over.
+        let mut handle = q.schedule_cancellable(SimTime::from_micros(200), 0);
+        for i in 1..500u64 {
+            assert!(q.cancel(handle));
+            handle = q.schedule_cancellable(SimTime::from_micros(200 + i), i);
+            assert_eq!(q.len(), 1, "exactly one live timer at all times");
+        }
+        assert_eq!(q.pop(), Some((SimTime::from_micros(699), 499)));
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -481,7 +499,13 @@ mod tests {
         let t2 = SimTime::from_micros(2);
         let mut q = EventQueue::with_tie_break(TieBreak::Permuted(7));
         for i in 0..50u32 {
-            q.schedule_in_lane(t1, pack_lane((i % 10) as u16, 0), i);
+            // Cancellable and plain events share the tie keys, so the
+            // permutation covers both kinds alike.
+            if i % 2 == 0 {
+                q.schedule_in_lane(t1, pack_lane((i % 10) as u16, 0), i);
+            } else {
+                let _ = q.schedule_cancellable_in_lane(t1, pack_lane((i % 10) as u16, 0), i);
+            }
         }
         for i in 50..100u32 {
             q.schedule_in_lane(t2, pack_lane((i % 10) as u16, 0), i);
@@ -536,8 +560,151 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::tiebreak::pack_lane;
     use crate::time::SimDuration;
     use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Schedule a plain event at absolute time t in lane `l`.
+        Schedule(u64, u16),
+        /// Schedule a cancellable event; remember its handle.
+        ScheduleCancellable(u64, u16),
+        /// Pop one event.
+        Pop,
+        /// Cancel the k-th remembered handle (mod the list length); may be
+        /// dead already.
+        Cancel(usize),
+        /// Cancel the oracle's head event if it is cancellable, so the
+        /// queue's head becomes a tombstone.
+        CancelHead,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            // Few distinct instants, so same-instant ties are common.
+            4 => (0u64..3_000, 0u16..6).prop_map(|(t, l)| Op::Schedule(t / 7 * 7, l)),
+            3 => (0u64..3_000, 0u16..6).prop_map(|(t, l)| Op::ScheduleCancellable(t / 7 * 7, l)),
+            4 => Just(Op::Pop),
+            2 => (0usize..64).prop_map(Op::Cancel),
+            1 => Just(Op::CancelHead),
+        ]
+    }
+
+    /// One live event in the oracle: `(at, tie)` is the sort key, `seq` the
+    /// cancellation identity and the event payload.
+    #[derive(Debug, Clone, Copy)]
+    struct Live {
+        at: SimTime,
+        tie: u64,
+        seq: u64,
+    }
+
+    /// Schedule on both sides; returns the handle and its `seq` when
+    /// `cancellable`.
+    fn schedule(
+        q: &mut EventQueue<u64>,
+        oracle: &mut Vec<Live>,
+        tb: TieBreak,
+        t: u64,
+        l: u16,
+        cancellable: bool,
+    ) -> Option<(TimerHandle, u64)> {
+        // The queue numbers events by schedule order, from zero.
+        let seq = q.scheduled_total();
+        let at = SimTime::from_nanos(t);
+        let lane = pack_lane(l, 0);
+        let handle = if cancellable {
+            Some(q.schedule_cancellable_in_lane(at, lane, seq))
+        } else {
+            q.schedule_in_lane(at, lane, seq);
+            None
+        };
+        let tie = tb.key(seq, lane);
+        let pos = oracle.partition_point(|e| (e.at, e.tie) < (at, tie));
+        oracle.insert(pos, Live { at, tie, seq });
+        handle.map(|h| (h, seq))
+    }
+
+    /// Cancel on both sides: the oracle's answer is whether `seq` is live.
+    fn cancel(
+        q: &mut EventQueue<u64>,
+        oracle: &mut Vec<Live>,
+        h: TimerHandle,
+        seq: u64,
+    ) -> Result<(), String> {
+        let want = match oracle.iter().position(|e| e.seq == seq) {
+            Some(i) => {
+                oracle.remove(i);
+                true
+            }
+            None => false,
+        };
+        prop_assert_eq!(q.cancel(h), want, "cancel result diverged");
+        Ok(())
+    }
+
+    /// Run `ops` against an [`EventQueue`] and a sorted-`Vec` oracle keyed
+    /// by `(at, TieBreak::key(seq, lane))`, comparing every observation.
+    fn check_against_oracle(ops: Vec<Op>, tb: TieBreak) -> Result<(), String> {
+        let mut q: EventQueue<u64> = EventQueue::with_tie_break(tb);
+        let mut oracle: Vec<Live> = Vec::new();
+        let mut handles: Vec<(TimerHandle, u64)> = Vec::new();
+        let mut scheduled = 0u64;
+        for op in ops {
+            match op {
+                Op::Schedule(t, l) => {
+                    schedule(&mut q, &mut oracle, tb, t, l, false);
+                    scheduled += 1;
+                }
+                Op::ScheduleCancellable(t, l) => {
+                    handles.extend(schedule(&mut q, &mut oracle, tb, t, l, true));
+                    scheduled += 1;
+                }
+                Op::Pop => {
+                    let want = (!oracle.is_empty()).then(|| oracle.remove(0));
+                    prop_assert_eq!(q.pop(), want.map(|e| (e.at, e.seq)), "pop diverged");
+                }
+                Op::Cancel(k) => {
+                    if !handles.is_empty() {
+                        let (h, seq) = handles[k % handles.len()];
+                        cancel(&mut q, &mut oracle, h, seq)?;
+                    }
+                }
+                Op::CancelHead => {
+                    let head = oracle.first().map(|e| e.seq);
+                    if let Some(&(h, seq)) = handles.iter().find(|(_, s)| Some(*s) == head) {
+                        cancel(&mut q, &mut oracle, h, seq)?;
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), oracle.len(), "live length diverged");
+            prop_assert_eq!(q.peek_time(), oracle.first().map(|e| e.at), "peek diverged");
+            prop_assert_eq!(q.scheduled_total(), scheduled);
+        }
+        // Drain completely: the whole tail must match too.
+        for e in oracle {
+            prop_assert_eq!(q.pop(), Some((e.at, e.seq)), "drain diverged");
+        }
+        prop_assert!(q.pop().is_none());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Interleaved schedule / cancellable schedule / cancel / pop match
+        /// the sorted-`Vec` oracle under FIFO and seeded permuted tie-breaks.
+        #[test]
+        fn matches_sorted_vec_oracle(
+            ops in prop::collection::vec(arb_op(), 1..300),
+            permuted in any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let tb = if permuted { TieBreak::Permuted(seed) } else { TieBreak::Fifo };
+            check_against_oracle(ops, tb)?;
+        }
+    }
 
     proptest! {
         /// Pops are globally ordered by (time, insertion order), for any
