@@ -20,9 +20,10 @@
 //! (default `--baseline`) — gating the multi-worker speedup (absolute 2x
 //! floor on machines with ≥4 cores) and shard-count output identity.
 //!
-//! Tolerances: wall-clock, events/sec, ratio and per-packet metrics may
-//! regress ≤25%; output divergence (serial vs parallel, fast vs reference,
-//! sharded vs serial) fails outright. See `experiments::gate`.
+//! Tolerances: the kernel `vs_bare_heap` ratios may fall ≤10% (the gate's
+//! `KERNEL_RATIO_FRAC`); wall-clock, events/sec, ratio and per-packet
+//! metrics may regress ≤25%; output divergence (serial vs parallel, fast vs
+//! reference, sharded vs serial) fails outright. See `experiments::gate`.
 
 use experiments::gate::{
     compare, compare_bench8, measure, measure_bench8, Bench8Report, BenchReport, Tolerance,

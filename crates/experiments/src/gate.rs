@@ -11,9 +11,11 @@
 //! * **kernel** — scheduler microbenchmarks on the binary-heap
 //!   [`EventQueue`], the one queue backend: `churn` holds 65,536 events and
 //!   pops and reschedules; `cancel_heavy` adds a cancel-and-rearm per event,
-//!   the RTO pattern. Each is gated on its events/sec with the wall-clock
-//!   tolerance (no second backend to divide by, so load noise does not
-//!   cancel).
+//!   the RTO pattern. Each is sampled interleaved with a bare
+//!   `std::collections::BinaryHeap` loop on the same pending count and RNG
+//!   stream, and gated on `vs_bare_heap`, the `EventQueue` rate divided by
+//!   the bare-heap rate: a same-process ratio in which load and clock
+//!   speed cancel. `events_per_sec` stays in the report, ungated.
 //! * **cc** — congestion-controller `on_ack` hot-path microbenchmark: every
 //!   `simcc` controller driven through the sender's per-ACK hook sequence,
 //!   gated on its throughput ratio against Reno sampled interleaved, so a
@@ -33,9 +35,11 @@
 //!   metrics — the determinism contract of both the parallel executor and
 //!   the arena/batching overhaul, measured on every gate run.
 //!
-//! Gate policy: every timed or per-packet metric may regress at most
-//! [`Tolerance::wall_clock_frac`] (default 25% — CI machines are shared),
-//! and `outputs_identical` must hold outright.
+//! Gate policy: the kernel ratios may fall at most [`KERNEL_RATIO_FRAC`]
+//! (10%), every other timed or
+//! per-packet metric may regress at most [`Tolerance::wall_clock_frac`]
+//! (default 25% — CI machines are shared), and `outputs_identical` must
+//! hold outright.
 //!
 //! `bench_gate --bench8` runs the second report, `BENCH_8.json` vs
 //! `BENCH_8_baseline.json`: the sharded windowed engine on a 1024-host
@@ -55,7 +59,9 @@ use netsim::{FatTreeSpec, LinkSpec, Network, Simulation, StaticFlows, Topology};
 use serde::{Deserialize, Serialize};
 use simcc::{Cc, CcAlg, CcParams, CongestionController};
 use simevent::{EventQueue, SimDuration, SimTime};
-use std::time::Instant;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::time::{Duration, Instant};
 use tcpstack::TcpConfig;
 use workload::{fabric_flows, FabricConfig};
 
@@ -68,6 +74,12 @@ pub struct KernelWorkload {
     pub popped_events: u64,
     /// [`EventQueue`] throughput (median of interleaved samples).
     pub events_per_sec: f64,
+    /// Throughput of the bare-`BinaryHeap` twin loop (median of the same
+    /// interleaved samples).
+    pub bare_heap_events_per_sec: f64,
+    /// Median over samples of the `EventQueue` rate divided by the bare-heap
+    /// rate measured next to it — the gated metric.
+    pub vs_bare_heap: f64,
 }
 
 /// The two kernel workloads.
@@ -233,10 +245,13 @@ impl Default for Tolerance {
     }
 }
 
+/// Allowed loss on the kernel `vs_bare_heap` ratios (10%).
+const KERNEL_RATIO_FRAC: f64 = 0.10;
+
 /// One gated metric outside its tolerance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
-    /// Dotted metric path, e.g. `kernel.churn.events_per_sec`.
+    /// Dotted metric path, e.g. `kernel.churn.vs_bare_heap`.
     pub metric: String,
     /// Baseline value.
     pub baseline: f64,
@@ -261,11 +276,11 @@ impl std::fmt::Display for Violation {
 pub fn compare(current: &BenchReport, baseline: &BenchReport, tol: &Tolerance) -> Vec<Violation> {
     let mut v = Vec::new();
 
-    // Higher is better: must not fall more than wall_clock_frac below the
-    // baseline. Every higher-is-better line takes the loose wall-clock
-    // slack; the reason is given per line below.
-    let mut higher = |metric: String, cur: f64, base: f64| {
-        let limit = base * (1.0 - tol.wall_clock_frac);
+    // Higher is better: must not fall more than `frac` below the baseline.
+    // Every line but the kernel ratios takes the loose wall-clock slack; the
+    // reason is given per line below.
+    let mut higher = |metric: String, cur: f64, base: f64, frac: f64| {
+        let limit = base * (1.0 - frac);
         // Non-finite on either side means a corrupt report — fail, don't pass.
         if !cur.is_finite() || !limit.is_finite() || cur < limit {
             v.push(Violation {
@@ -276,20 +291,20 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, tol: &Tolerance) -
             });
         }
     };
-    // Kernel microbenchmarks gate absolute events/sec: with one queue
-    // backend there is no second arm whose ratio would cancel load noise.
-    // So these two lines compare across machines — a runner slower than the
-    // one the baseline came from trips them with no change in the code —
-    // and on the baseline machine itself 2 of 8 compare runs failed churn.
+    // Kernel microbenchmarks gate the EventQueue rate over its interleaved
+    // bare-heap twin: load and clock speed cancel in the ratio, so it takes
+    // the tight slack (a different CPU can still move it; DESIGN.md §11).
     higher(
-        "kernel.churn.events_per_sec".to_string(),
-        current.kernel.churn.events_per_sec,
-        baseline.kernel.churn.events_per_sec,
+        "kernel.churn.vs_bare_heap".to_string(),
+        current.kernel.churn.vs_bare_heap,
+        baseline.kernel.churn.vs_bare_heap,
+        KERNEL_RATIO_FRAC,
     );
     higher(
-        "kernel.cancel_heavy.events_per_sec".to_string(),
-        current.kernel.cancel_heavy.events_per_sec,
-        baseline.kernel.cancel_heavy.events_per_sec,
+        "kernel.cancel_heavy.vs_bare_heap".to_string(),
+        current.kernel.cancel_heavy.vs_bare_heap,
+        baseline.kernel.cancel_heavy.vs_bare_heap,
+        KERNEL_RATIO_FRAC,
     );
     // Controller on_ack cost, gated as the interleaved vs-Reno ratio so load
     // noise cancels — still with the loose slack: a 1M-op arithmetic loop is
@@ -310,6 +325,7 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, tol: &Tolerance) -
             format!("cc.{}.vs_reno", base_cc.controller),
             cur,
             base_cc.vs_reno,
+            tol.wall_clock_frac,
         );
     }
     // The end-to-end speedup divides two *sequential* wall-clock runs, so
@@ -318,6 +334,7 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, tol: &Tolerance) -
         "end_to_end.engine_speedup".to_string(),
         current.end_to_end.engine_speedup,
         baseline.end_to_end.engine_speedup,
+        tol.wall_clock_frac,
     );
 
     // Lower is better: must not rise more than wall_clock_frac above the
@@ -377,41 +394,97 @@ impl Lcg {
     }
 }
 
-fn churn(pending: usize, events: u64) -> f64 {
+/// RNG seeds of the two kernel workloads; each seeds both the `EventQueue`
+/// arm and its bare-heap twin.
+const CHURN_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+const CANCEL_HEAVY_SEED: u64 = 0x2545_F491_4F6C_DD1D;
+
+/// `churn` on [`EventQueue`]: pop the minimum and reschedule it. Returns a
+/// closure that runs `n` more pops.
+fn churn(pending: usize) -> impl FnMut(u64) {
     let mut q = EventQueue::new();
-    let mut rng = Lcg(0x9E37_79B9_7F4A_7C15);
+    let mut rng = Lcg(CHURN_SEED);
     for i in 0..pending {
         q.schedule(SimTime::from_nanos(rng.next_below(1_000_000)), i as u64);
     }
-    let start = Instant::now();
-    for _ in 0..events {
-        let (at, v) = q.pop().expect("queue held non-empty");
-        q.schedule(
-            at + SimDuration::from_nanos(rng.next_below(1_000_000) + 1),
-            v,
-        );
+    move |n| {
+        for _ in 0..n {
+            let (at, v) = q.pop().expect("queue held non-empty");
+            q.schedule(
+                at + SimDuration::from_nanos(rng.next_below(1_000_000) + 1),
+                v,
+            );
+        }
     }
-    events as f64 / start.elapsed().as_secs_f64()
 }
 
-fn cancel_heavy(pending: usize, events: u64) -> f64 {
+/// `cancel_heavy` on [`EventQueue`]: like [`churn`], plus a cancellable
+/// timer armed and cancelled per pop (the RTO pattern).
+fn cancel_heavy(pending: usize) -> impl FnMut(u64) {
     let mut q = EventQueue::new();
-    let mut rng = Lcg(0x2545_F491_4F6C_DD1D);
+    let mut rng = Lcg(CANCEL_HEAVY_SEED);
     for i in 0..pending {
         q.schedule(SimTime::from_nanos(rng.next_below(1_000_000)), i as u64);
     }
-    let start = Instant::now();
-    for _ in 0..events {
-        let (at, v) = q.pop().expect("queue held non-empty");
-        let h =
-            q.schedule_cancellable(at + SimDuration::from_nanos(rng.next_below(500_000) + 1), v);
-        q.cancel(h);
-        q.schedule(
-            at + SimDuration::from_nanos(rng.next_below(1_000_000) + 1),
-            v,
-        );
+    move |n| {
+        for _ in 0..n {
+            let (at, v) = q.pop().expect("queue held non-empty");
+            let h = q
+                .schedule_cancellable(at + SimDuration::from_nanos(rng.next_below(500_000) + 1), v);
+            q.cancel(h);
+            q.schedule(
+                at + SimDuration::from_nanos(rng.next_below(1_000_000) + 1),
+                v,
+            );
+        }
     }
-    events as f64 / start.elapsed().as_secs_f64()
+}
+
+/// The same-process reference for both kernel workloads: a bare
+/// `BinaryHeap` that pops the minimum and reschedules it, drawing the same
+/// RNG stream as its `EventQueue` twin. `cancel_draw` spends the extra draw
+/// `cancel_heavy` makes for the timer it cancels.
+fn bare_heap(seed: u64, pending: usize, cancel_draw: bool) -> impl FnMut(u64) {
+    let mut q = BinaryHeap::new();
+    let mut rng = Lcg(seed);
+    for i in 0..pending {
+        q.push(Reverse((
+            SimTime::from_nanos(rng.next_below(1_000_000)),
+            i as u64,
+        )));
+    }
+    move |n| {
+        for _ in 0..n {
+            let Reverse((at, v)) = q.pop().expect("queue held non-empty");
+            if cancel_draw {
+                rng.next_below(500_000);
+            }
+            q.push(Reverse((
+                at + SimDuration::from_nanos(rng.next_below(1_000_000) + 1),
+                v,
+            )));
+        }
+    }
+}
+
+/// Run two kernel arms for `events` pops each, alternating in blocks of
+/// [`GATE_KERNEL_BLOCK`] pops so a load spike hits both alike. Returns each
+/// arm's events/sec over its own timed blocks.
+fn interleaved(events: u64, mut a: impl FnMut(u64), mut b: impl FnMut(u64)) -> (f64, f64) {
+    let (mut ta, mut tb) = (Duration::ZERO, Duration::ZERO);
+    let mut done = 0;
+    while done < events {
+        let n = GATE_KERNEL_BLOCK.min(events - done);
+        let t = Instant::now();
+        a(n);
+        ta += t.elapsed();
+        let t = Instant::now();
+        b(n);
+        tb += t.elapsed();
+        done += n;
+    }
+    let rate = |t: Duration| events as f64 / t.as_secs_f64();
+    (rate(ta), rate(tb))
 }
 
 const GATE_KERNEL_SAMPLES: usize = 3;
@@ -419,6 +492,8 @@ const GATE_KERNEL_SAMPLES: usize = 3;
 /// Events each kernel workload holds in flight, and pops per sample.
 const GATE_KERNEL_PENDING: usize = 65_536;
 const GATE_KERNEL_EVENTS: u64 = 300_000;
+/// Pops per timed block of [`interleaved`].
+const GATE_KERNEL_BLOCK: u64 = 10_000;
 
 /// ACK hook sequences per controller per sample in the cc microbench.
 const GATE_CC_OPS: u64 = 1_000_000;
@@ -483,18 +558,26 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
-/// Both kernel workloads on [`EventQueue`], sampled alternately so machine
-/// load hits them alike, reduced to per-workload medians.
+/// Both kernel workloads on [`EventQueue`], each interleaved block by block
+/// with its bare-heap twin, reduced to per-workload medians and the median
+/// per-sample ratio.
 fn kernel_section() -> KernelSection {
+    let (p, n) = (GATE_KERNEL_PENDING, GATE_KERNEL_EVENTS);
     let (mut churn_runs, mut cancel_runs) = (Vec::new(), Vec::new());
     for _ in 0..GATE_KERNEL_SAMPLES {
-        churn_runs.push(churn(GATE_KERNEL_PENDING, GATE_KERNEL_EVENTS));
-        cancel_runs.push(cancel_heavy(GATE_KERNEL_PENDING, GATE_KERNEL_EVENTS));
+        churn_runs.push(interleaved(n, churn(p), bare_heap(CHURN_SEED, p, false)));
+        cancel_runs.push(interleaved(
+            n,
+            cancel_heavy(p),
+            bare_heap(CANCEL_HEAVY_SEED, p, true),
+        ));
     }
-    let workload = |runs| KernelWorkload {
-        pending: GATE_KERNEL_PENDING as u64,
-        popped_events: GATE_KERNEL_EVENTS,
-        events_per_sec: median(runs),
+    let workload = |runs: Vec<(f64, f64)>| KernelWorkload {
+        pending: p as u64,
+        popped_events: n,
+        events_per_sec: median(runs.iter().map(|r| r.0).collect()),
+        bare_heap_events_per_sec: median(runs.iter().map(|r| r.1).collect()),
+        vs_bare_heap: median(runs.iter().map(|r| r.0 / r.1).collect()),
     };
     KernelSection {
         churn: workload(churn_runs),
@@ -605,9 +688,11 @@ pub fn measure(seed: u64) -> BenchReport {
     eprintln!("[bench_gate] kernel microbench (churn, cancel-heavy)...");
     let kernel = kernel_section();
     eprintln!(
-        "  churn {:.2}M ev/s, cancel-heavy {:.2}M ev/s",
+        "  churn {:.2}M ev/s ({:.3}x bare heap), cancel-heavy {:.2}M ev/s ({:.3}x bare heap)",
         kernel.churn.events_per_sec / 1e6,
+        kernel.churn.vs_bare_heap,
         kernel.cancel_heavy.events_per_sec / 1e6,
+        kernel.cancel_heavy.vs_bare_heap,
     );
 
     eprintln!("[bench_gate] congestion-controller on_ack microbench...");
@@ -656,7 +741,8 @@ pub fn measure(seed: u64) -> BenchReport {
     let packets = fast_pool.inserts;
     BenchReport {
         description: "Hot-path netbench gate: scheduler kernel microbenchmarks (churn, \
-                      cancel-heavy) on the binary-heap EventQueue; per-controller \
+                      cancel-heavy) on the binary-heap EventQueue, gated on the ratio to an \
+                      interleaved bare BinaryHeap loop; per-controller \
                       simcc on_ack hot-path microbenchmarks gated on the vs-Reno ratio; a \
                       hot-host DCTCP point run end to end on both engines with packet-arena \
                       allocation accounting and events-per-packet; and the Fig. 2 shallow \
@@ -954,11 +1040,15 @@ mod tests {
                     pending: 1024,
                     popped_events: 1000,
                     events_per_sec: 3.0e6,
+                    bare_heap_events_per_sec: 4.0e6,
+                    vs_bare_heap: 0.75,
                 },
                 cancel_heavy: KernelWorkload {
                     pending: 1024,
                     popped_events: 1000,
-                    events_per_sec: 2.8e6,
+                    events_per_sec: 2.0e6,
+                    bare_heap_events_per_sec: 4.0e6,
+                    vs_bare_heap: 0.5,
                 },
             },
             cc: CcSection {
@@ -1026,7 +1116,8 @@ mod tests {
     fn small_noise_within_tolerance_passes() {
         let base = report();
         let mut cur = report();
-        cur.kernel.churn.events_per_sec *= 0.95; // -5% < 25%
+        cur.kernel.churn.vs_bare_heap *= 0.95; // -5% < 10%
+        cur.kernel.cancel_heavy.events_per_sec *= 0.5; // reported, not gated
         cur.sweep_fig2_shallow.fast_seconds *= 1.05; // +5% < 25%
         cur.sweep_fig2_shallow.engine_speedup *= 0.95;
         cur.link.fast_events_per_packet *= 1.05;
@@ -1039,14 +1130,14 @@ mod tests {
         // the tolerance above what we can measure must trip the gate.
         let cur = report();
         let mut base = report();
-        base.kernel.churn.events_per_sec *= 1.4;
-        base.kernel.cancel_heavy.events_per_sec *= 1.4;
+        base.kernel.churn.vs_bare_heap *= 1.15;
+        base.kernel.cancel_heavy.vs_bare_heap *= 1.15;
         base.end_to_end.engine_speedup *= 1.5;
         base.sweep_fig2_shallow.fast_seconds /= 1.4;
         let v = compare(&cur, &base, &Tolerance::default());
         let metrics: Vec<&str> = v.iter().map(|x| x.metric.as_str()).collect();
-        assert!(metrics.contains(&"kernel.churn.events_per_sec"));
-        assert!(metrics.contains(&"kernel.cancel_heavy.events_per_sec"));
+        assert!(metrics.contains(&"kernel.churn.vs_bare_heap"));
+        assert!(metrics.contains(&"kernel.cancel_heavy.vs_bare_heap"));
         assert!(metrics.contains(&"end_to_end.engine_speedup"));
         assert!(metrics.contains(&"sweep_fig2_shallow.fast_seconds"));
     }

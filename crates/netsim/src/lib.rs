@@ -17,6 +17,7 @@
 //!   their completion.
 
 mod apps;
+mod deadline;
 mod link;
 mod network;
 mod shard;

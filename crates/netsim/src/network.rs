@@ -1,5 +1,6 @@
 //! The network state machine: hosts, switches, ports, routing, metrics.
 
+use crate::deadline::DeadlineIndex;
 use crate::link::LinkSpec;
 use crate::topology::{ClusterSpec, FatTreeSpec, Topology};
 use ecn_core::{build_qdisc, DropTail};
@@ -10,8 +11,7 @@ use netpacket::{
 use simevent::{SimDuration, SimTime};
 use simmetrics::{LatencyHistogram, QueueSample, QueueTrace, ThroughputMeter};
 use simtrace::{EventKind, TraceEvent, TraceHandle};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use tcpstack::{Receiver, Sender, TcpAgent, TcpConfig};
 
 /// Addresses a device in the simulated cluster.
@@ -41,9 +41,9 @@ pub(crate) const SAMPLE_LANE: u16 = 0xFFFE;
 
 /// Simulation events.
 ///
-/// Events carry [`PacketRef`] pool handles, not packets: a `ScheduledEvent`
-/// is ~16 bytes, so scheduler heap sifts stop memcpying ~120-byte packet
-/// structs around.
+/// Events carry [`PacketRef`] pool handles, not packets, so scheduler heap
+/// sifts move a 56-byte `ScheduledEvent<Event>` (an `Event` is 32 bytes, as
+/// [`DevRef`] is a 16-byte enum) instead of a 112-byte [`Packet`].
 #[derive(Debug)]
 pub enum Event {
     /// A packet arrives at a device after crossing a link.
@@ -77,6 +77,13 @@ pub enum Event {
     /// Periodic queue-trace sample.
     Sample,
 }
+
+// Pin the event layout the scheduler moves around: growing it must be a
+// deliberate edit here, not a side effect.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Event>() == 32);
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<simevent::ScheduledEvent<Event>>() == 56);
 
 /// One egress port: a queue discipline plus a serialising transmitter.
 ///
@@ -151,14 +158,13 @@ struct Host {
     /// Maintained for [`Network::set_reference_mode`]; the fast path never
     /// reads it.
     by_flow: BTreeMap<FlowId, u32>,
-    /// Lazy min-heap of `(deadline, endpoint slot)` candidates. An entry is
-    /// pushed every time an endpoint is driven and reports a deadline; stale
-    /// entries (the endpoint's deadline has since moved or cleared) are
-    /// discarded at query time. Invariant: whenever an endpoint currently
-    /// reports `next_deadline() == Some(d)`, an entry `(d, slot)` is in the
-    /// heap — so the valid head is exactly the minimum over all endpoints,
+    /// Timer deadlines of `eps`: every endpoint with a deadline has a live
+    /// min-heap entry at or before its `next_deadline()`. An entry is pushed
+    /// only when a driven endpoint's deadline moves earlier than its live
+    /// entry, so the heap stays proportional to the endpoint count, and its
+    /// lazily validated head is exactly the minimum over all endpoints —
     /// without the O(endpoints) scan the original re-arm code did.
-    deadlines: BinaryHeap<Reverse<(SimTime, u32)>>,
+    deadlines: DeadlineIndex,
     timer_scheduled: Option<SimTime>,
 }
 
@@ -500,7 +506,7 @@ fn build_two_tier(spec: &ClusterSpec) -> (Vec<Host>, Vec<Switch>) {
             ep_flow: Vec::new(),
             eps: Vec::new(),
             by_flow: BTreeMap::new(),
-            deadlines: BinaryHeap::new(),
+            deadlines: DeadlineIndex::default(),
             timer_scheduled: None,
         });
     }
@@ -610,7 +616,7 @@ fn build_fat_tree(spec: &FatTreeSpec) -> (Vec<Host>, Vec<Switch>) {
             ep_flow: Vec::new(),
             eps: Vec::new(),
             by_flow: BTreeMap::new(),
-            deadlines: BinaryHeap::new(),
+            deadlines: DeadlineIndex::default(),
             timer_scheduled: None,
         });
     }
@@ -868,17 +874,18 @@ impl Network {
         dst_h.ep_flow.push(flow);
         dst_h.eps.push(Endpoint::Rx(receiver));
         dst_h.by_flow.insert(flow, rx_idx);
-        // Keep the deadline-heap invariant without flushing the receiving
-        // host (the original code did not flush it either).
-        if let Some(d) = dst_h.eps[rx_idx as usize].next_deadline() {
-            dst_h.deadlines.push(Reverse((d, rx_idx)));
-        }
+        // Index the receiver's deadline without flushing the receiving host
+        // (the original code did not flush it either).
+        dst_h
+            .deadlines
+            .add_slot(dst_h.eps[rx_idx as usize].next_deadline());
 
         let src_h = &mut self.hosts[src.0 as usize];
         let tx_idx = src_h.eps.len() as u32;
         src_h.ep_flow.push(flow);
         src_h.eps.push(Endpoint::Tx(sender));
         src_h.by_flow.insert(flow, tx_idx);
+        src_h.deadlines.add_slot(None);
 
         self.flow_slots.push(FlowSlot {
             src_host: src.0,
@@ -1053,24 +1060,14 @@ impl Network {
         let hi = self.hidx(h);
         let host = &mut self.hosts[hi];
         host.timer_scheduled = None;
-        // Pop matured deadline candidates; entries are lazily invalidated, so
-        // each candidate endpoint's actual deadline is re-checked. Any
-        // endpoint that is genuinely due has a matured entry here (the heap
-        // always holds an entry at the current deadline), so this finds the
-        // same set the original full endpoint scan did.
-        while let Some(&Reverse((d, idx))) = host.deadlines.peek() {
-            if d > now {
-                break;
-            }
-            host.deadlines.pop();
-            let actual = host.eps[idx as usize].next_deadline();
-            if actual.is_some_and(|a| a <= now) {
-                due.push(idx);
-            }
-        }
+        // Every endpoint that is due has a live entry at or before its
+        // deadline, so this finds the same set the original full endpoint
+        // scan did, each slot once.
+        let eps = &host.eps;
+        host.deadlines
+            .take_due(now, |i| eps[i as usize].next_deadline(), &mut due);
         // Slot order equals FlowId order, matching the original firing order.
         due.sort_unstable();
-        due.dedup();
         for &idx in &due {
             host.eps[idx as usize].agent().on_timer(now);
         }
@@ -1162,24 +1159,12 @@ impl Network {
                     }
                 }
             }
-            if let Some(d) = host.eps[idx as usize].next_deadline() {
-                host.deadlines.push(Reverse((d, idx)));
-            }
+            host.deadlines
+                .update(idx, host.eps[idx as usize].next_deadline());
         }
-        // Re-arm the host timer from the lazy deadline heap: discard stale
-        // entries until the head matches its endpoint's actual deadline. That
-        // head is the true minimum over all endpoints (every current deadline
-        // has an entry).
-        let next = loop {
-            let Some(&Reverse((d, idx))) = host.deadlines.peek() else {
-                break None;
-            };
-            if host.eps[idx as usize].next_deadline() == Some(d) {
-                break Some(d);
-            }
-            host.deadlines.pop();
-        };
-        if let Some(d) = next {
+        // Re-arm the host timer from the exact minimum over all endpoints.
+        let eps = &host.eps;
+        if let Some(d) = host.deadlines.head(|i| eps[i as usize].next_deadline()) {
             let d = d.max(now);
             if host.timer_scheduled.is_none_or(|t| d < t) {
                 host.timer_scheduled = Some(d);
@@ -1500,9 +1485,9 @@ impl Network {
             dst_h.ep_flow.push(d.flow);
             dst_h.eps.push(Endpoint::Rx(receiver));
             dst_h.by_flow.insert(d.flow, rx_idx);
-            if let Some(dl) = dst_h.eps[rx_idx as usize].next_deadline() {
-                dst_h.deadlines.push(Reverse((dl, rx_idx)));
-            }
+            dst_h
+                .deadlines
+                .add_slot(dst_h.eps[rx_idx as usize].next_deadline());
             slot.rx_idx = rx_idx;
         }
         let owns_src = self.owns_host(d.src.0 as usize);
@@ -1515,6 +1500,7 @@ impl Network {
             src_h.ep_flow.push(d.flow);
             src_h.eps.push(Endpoint::Tx(sender));
             src_h.by_flow.insert(d.flow, tx_idx);
+            src_h.deadlines.add_slot(None);
             slot.tx_idx = tx_idx;
         }
         self.flow_slots.push(slot);
@@ -1710,6 +1696,16 @@ impl Network {
             }
         }
         agg
+    }
+
+    /// Per host: the deadline index's heap high-water mark and the host's
+    /// endpoint count.
+    #[cfg(test)]
+    pub(crate) fn deadline_heap_peaks(&self) -> Vec<(usize, usize)> {
+        self.hosts
+            .iter()
+            .map(|h| (h.deadlines.high_water(), h.eps.len()))
+            .collect()
     }
 
     /// Per-receiver transport statistics, aggregated.
