@@ -28,7 +28,7 @@
 //!   the batched transmitter's event elision shows up here directly.
 //! * **sweep_fig2_shallow** — the standard point set end to end:
 //!   `reference_seconds` is the serial sweep on the reference engine (seed
-//!   allocation model + spurious timers),
+//!   per-packet algorithms and allocation model, same event loop),
 //!   `fast_seconds` the serial sweep on the fast engine, and
 //!   `parallel_seconds` the fast engine on one worker per core.
 //!   `outputs_identical` asserts serial == parallel AND fast == reference
@@ -135,9 +135,9 @@ pub struct PoolSection {
 }
 
 /// End-to-end engine comparison on the hot-host DCTCP point: the same
-/// simulation run on the fast engine (arena, timer cancellation, batching,
-/// SoA flow state) and the reference engine (seed allocation model, spurious
-/// timer fires, full-scan bookkeeping). The point is sized so per-host flow
+/// simulation run on the fast engine (arena, batching, SoA flow state) and
+/// the reference engine (seed allocation model, full-scan bookkeeping), both
+/// on the one serial event loop. The point is sized so per-host flow
 /// concurrency is realistic — that is where the seed's per-event endpoint
 /// scans actually cost.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -167,11 +167,11 @@ pub struct LinkSection {
     pub packets: u64,
     /// Scheduler events processed, fast engine.
     pub fast_events: u64,
-    /// Events per packet, fast engine (batched transmitter + cancelled
-    /// timers).
+    /// Events per packet, fast engine (batched transmitter).
     pub fast_events_per_packet: f64,
-    /// Scheduler events processed, reference engine (spurious timer fires
-    /// included).
+    /// Scheduler events processed, reference engine. Equal to
+    /// `fast_events`: both engines run the same event loop and drop the same
+    /// superseded host timers.
     pub reference_events: u64,
     /// Events per packet, reference engine.
     pub reference_events_per_packet: f64,
@@ -182,15 +182,15 @@ pub struct LinkSection {
 pub struct SweepSection {
     /// Points in the set.
     pub points: u64,
-    /// Serial sweep on the reference engine (seed allocation model,
-    /// spurious timers).
+    /// Serial sweep on the reference engine (seed allocation model and
+    /// full-scan bookkeeping).
     pub reference_seconds: f64,
     /// Serial sweep on the fast engine.
     pub fast_seconds: f64,
     /// Parallel sweep on the fast engine, one worker per core.
     pub parallel_seconds: f64,
     /// reference / fast: the end-to-end single-thread speedup of the
-    /// arena + timer-cancellation + batching overhaul.
+    /// arena + batching overhaul.
     pub engine_speedup: f64,
     /// fast / parallel: orchestrator scaling on the same point set.
     pub parallel_speedup: f64,
@@ -747,7 +747,7 @@ pub fn measure(seed: u64) -> BenchReport {
                       hot-host DCTCP point run end to end on both engines with packet-arena \
                       allocation accounting and events-per-packet; and the Fig. 2 shallow \
                       standard point set run serially on the reference engine (seed allocation \
-                      model + spurious timers), serially on the fast engine, and on one worker \
+                      model + full-scan bookkeeping), serially on the fast engine, and on one worker \
                       per core. outputs_identical asserts serial == parallel AND fast == \
                       reference metrics on every point."
             .to_string(),

@@ -322,11 +322,11 @@ impl ScenarioConfig {
 
 /// Which simulation engine evaluates a point.
 ///
-/// `Fast` is the optimised path (slab lookups, batched flushes, timer
-/// cancellation); `Reference` is the seed implementation (map lookups,
-/// full-scan flushes, spurious timer fires, a Box per packet), kept so
-/// `bench_gate` can measure before/after in one process. Both run on the
-/// same binary-heap scheduler and produce identical metrics.
+/// `Fast` is the optimised path (slab lookups, batched flushes, pooled
+/// packets); `Reference` is the seed's per-packet algorithms (map lookups,
+/// full-scan flushes, a Box per packet), kept so `bench_gate` can measure
+/// before/after in one process. Both run on the same event loop
+/// ([`Simulation::run`]) and produce identical metrics and event counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Engine {
     /// Optimised kernel (the default everywhere).
@@ -532,16 +532,17 @@ pub fn run_scenario_once_full(
     if let Some(tie_seed) = cfg.tie_seed {
         sim.tie_break = simevent::TieBreak::Permuted(tie_seed);
     }
-    let report = match (engine, cfg.shards) {
-        (Engine::Fast, Some(shards)) => sim.run_sharded(shards as usize),
-        (Engine::Fast, None) => sim.run(),
-        (Engine::Reference, shards) => {
+    let report = match cfg.shards {
+        Some(shards) => {
             assert!(
-                shards.is_none(),
+                engine == Engine::Fast,
                 "--shards requires the fast engine (reference is serial-only)"
             );
-            sim.net.set_reference_mode(true);
-            sim.run_reference()
+            sim.run_sharded(shards as usize)
+        }
+        None => {
+            sim.net.set_reference_mode(engine == Engine::Reference);
+            sim.run()
         }
     };
 
@@ -704,9 +705,8 @@ mod tests {
         let (fast, fast_report) = run(Engine::Fast);
         let (reference, reference_report) = run(Engine::Reference);
         assert_eq!(fast, reference, "engines must produce identical metrics");
-        // Cancellation removes spurious timer fires, so the fast engine
-        // processes no more events than the reference one.
-        assert!(fast_report.events <= reference_report.events);
+        // One event loop serves both engines, so they process the same events.
+        assert_eq!(fast_report.events, reference_report.events);
     }
 
     #[test]

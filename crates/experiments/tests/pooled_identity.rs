@@ -1,8 +1,8 @@
 //! Property: `Network::set_reference_mode` changes the *cost model*, never
 //! the simulation. The reference path (seed Box-per-packet allocation,
-//! full-scan flush/timer bookkeeping, binary-heap scheduler via
-//! `run_reference`) and the pooled fast path (arena handles, SoA flow
-//! columns, deadline heap, hybrid scheduler) must produce byte-identical
+//! full-scan flush/timer bookkeeping) and the pooled fast path (arena
+//! handles, SoA flow columns, deadline heap), both driven by
+//! `Simulation::run`, must produce byte-identical
 //! metrics JSON and a byte-identical packet-lifecycle trace on every
 //! fig2-shallow point — across transports, queue disciplines, congestion
 //! controllers, target delays and seeds.

@@ -402,7 +402,6 @@ struct TraceState {
     port: usize,
     interval: SimDuration,
     trace: QueueTrace,
-    armed: bool,
 }
 
 /// Batched fast path: dequeue the next packet from a free port and schedule
@@ -925,7 +924,6 @@ impl Network {
             port,
             interval,
             trace: QueueTrace::new(max_samples),
-            armed: false,
         });
         self.pending
             .push((SimTime::ZERO, SAMPLE_LANE, Event::Sample));
@@ -1048,7 +1046,15 @@ impl Network {
         start_tx_batched(port, dev, port_idx, now, &mut self.pending, &mut self.pool);
     }
 
+    /// A host's timer event. Only the event at the host's armed instant
+    /// (`timer_scheduled`) does work: re-arming to an earlier deadline leaves
+    /// the later event queued, and when it surfaces it is superseded and
+    /// dropped here, before it can clear the armed instant or re-arm a
+    /// duplicate. Every event loop relies on this rule; none cancels.
     fn host_timers(&mut self, h: usize, now: SimTime) {
+        if self.hosts[self.hidx(h)].timer_scheduled != Some(now) {
+            return;
+        }
         if self.reference_mode {
             self.host_timers_reference(h, now);
             return;
@@ -1105,12 +1111,9 @@ impl Network {
             }
         }
         ts.trace.record(sample);
-        ts.armed = true;
-        if (ts.trace.samples().len()) < usize::MAX {
-            // Keep sampling; the trace itself caps retained samples.
-            self.pending
-                .push((now + ts.interval, SAMPLE_LANE, Event::Sample));
-        }
+        // Keep sampling; the trace itself caps retained samples.
+        self.pending
+            .push((now + ts.interval, SAMPLE_LANE, Event::Sample));
     }
 
     /// Drain the touched endpoints' outboxes into the host's NIC, update flow

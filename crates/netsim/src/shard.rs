@@ -25,6 +25,10 @@
 //! it was scheduled at least one lookahead before it fires). The mini-loop
 //! runs the identical code at every shard count — including one — which is
 //! what the determinism gate in CI byte-checks.
+//!
+//! Shard queues cancel nothing, like the serial loop: a host re-armed to an
+//! earlier deadline leaves its later `HostTimers` event queued, and
+//! `Network::host_timers` drops that event when it surfaces.
 
 use crate::network::{dev_lane, DeferredFlow, DevRef, Event, Network};
 use crate::sim::{event_tie_lane, Application, RunReport, Simulation};

@@ -4,7 +4,6 @@ use crate::network::{dev_lane, DevRef, Event, Network, APP_LANE, SAMPLE_LANE};
 use netpacket::{FlowId, NodeId};
 use simevent::{
     EventQueue, QueueBackend, RunOutcome, Scheduler, SchedulerConfig, SimTime, TieBreak,
-    TimerHandle,
 };
 use tcpstack::TcpConfig;
 
@@ -98,7 +97,10 @@ impl<A: Application> Simulation<A> {
     /// Run until the application is done, the event queue drains, or the
     /// time limit is hit.
     ///
-    /// Runs on the binary-heap [`EventQueue`]; see
+    /// The serial event loop, for the fast and the reference-mode network
+    /// ([`Network::set_reference_mode`]) alike. It cancels nothing: a
+    /// superseded `HostTimers` event is dispatched like any other and the
+    /// network drops it. Runs on the binary-heap [`EventQueue`]; see
     /// [`Simulation::run_with_backend`] to wrap it.
     pub fn run(&mut self) -> RunReport {
         self.run_with_backend::<EventQueue<Event>>()
@@ -116,10 +118,6 @@ impl<A: Application> Simulation<A> {
         let net = &mut self.net;
         let app = &mut self.app;
 
-        // One outstanding (cancellable) HostTimers event per host: when the
-        // network re-arms a host to an earlier deadline, the superseded event
-        // is cancelled instead of left to fire spuriously.
-        let mut timer_handles: Vec<Option<TimerHandle>> = vec![None; net.num_hosts()];
         // Reused pending-event buffer: the per-event drain swaps it with the
         // network's (empty) buffer instead of allocating a fresh Vec.
         let mut inbox: Vec<(SimTime, u16, Event)> = Vec::new();
@@ -127,119 +125,38 @@ impl<A: Application> Simulation<A> {
         fn drain(
             sched: &mut Scheduler<Event, impl QueueBackend<Event>>,
             inbox: &mut Vec<(SimTime, u16, Event)>,
-            timer_handles: &mut [Option<TimerHandle>],
             net: &mut Network,
             now: SimTime,
         ) {
             net.swap_pending(inbox);
             for (t, src, e) in inbox.drain(..) {
-                let t = t.max(now);
-                let lane = event_tie_lane(src, &e);
-                match e {
-                    Event::HostTimers { host } => {
-                        if let Some(h) = timer_handles[host].take() {
-                            sched.cancel(h);
-                        }
-                        timer_handles[host] = Some(sched.schedule_cancellable_at_in_lane(
-                            t,
-                            lane,
-                            Event::HostTimers { host },
-                        ));
-                    }
-                    e => sched.schedule_at_in_lane(t, lane, e),
-                }
-            }
-        }
-
-        app.on_start(net, SimTime::ZERO);
-        drain(
-            &mut sched,
-            &mut inbox,
-            &mut timer_handles,
-            net,
-            SimTime::ZERO,
-        );
-        if app.done(net) {
-            return RunReport {
-                outcome: RunOutcome::Stopped,
-                events: 0,
-                end_time: SimTime::ZERO,
-                flows_completed: net.completed_flows(),
-                app_done: true,
-                peak_pending: sched.peak_pending(),
-            };
-        }
-
-        let (outcome, stats) = sched.run(|sched, now, ev| {
-            match ev {
-                Event::AppTimer { token } => app.on_timer(token, net, now),
-                Event::HostTimers { host } => {
-                    timer_handles[host] = None;
-                    net.handle(Event::HostTimers { host }, now);
-                }
-                other => net.handle(other, now),
-            }
-            for f in net.take_completed() {
-                app.on_flow_complete(f, net, now);
-            }
-            drain(sched, &mut inbox, &mut timer_handles, net, now);
-            !app.done(net)
-        });
-
-        RunReport {
-            outcome,
-            events: stats.events_processed,
-            end_time: stats.end_time,
-            flows_completed: net.completed_flows(),
-            app_done: app.done(net),
-            peak_pending: sched.peak_pending(),
-        }
-    }
-
-    /// The seed implementation's event loop, kept as the measured "before"
-    /// of the reference engine: a fresh pending-buffer allocation per event,
-    /// and no `HostTimers` cancellation (superseded timer events fire
-    /// spuriously). Pair with
-    /// [`Network::set_reference_mode`] for a faithful end-to-end reference.
-    /// Simulation results are identical to [`Simulation::run`]; only the
-    /// event count can differ (spurious timer fires).
-    pub fn run_reference(&mut self) -> RunReport {
-        let mut sched: Scheduler<Event> = Scheduler::new(SchedulerConfig {
-            time_limit: self.time_limit,
-            event_limit: u64::MAX,
-            tie_break: self.tie_break,
-        });
-        let net = &mut self.net;
-        let app = &mut self.app;
-
-        app.on_start(net, SimTime::ZERO);
-        for (t, src, e) in net.take_pending() {
-            let lane = event_tie_lane(src, &e);
-            sched.schedule_at_in_lane(t, lane, e);
-        }
-        if app.done(net) {
-            return RunReport {
-                outcome: RunOutcome::Stopped,
-                events: 0,
-                end_time: SimTime::ZERO,
-                flows_completed: net.completed_flows(),
-                app_done: true,
-                peak_pending: sched.peak_pending(),
-            };
-        }
-
-        let (outcome, stats) = sched.run(|sched, now, ev| {
-            match ev {
-                Event::AppTimer { token } => app.on_timer(token, net, now),
-                other => net.handle(other, now),
-            }
-            for f in net.take_completed() {
-                app.on_flow_complete(f, net, now);
-            }
-            for (t, src, e) in net.take_pending() {
                 let lane = event_tie_lane(src, &e);
                 sched.schedule_at_in_lane(t.max(now), lane, e);
             }
+        }
+
+        app.on_start(net, SimTime::ZERO);
+        drain(&mut sched, &mut inbox, net, SimTime::ZERO);
+        if app.done(net) {
+            return RunReport {
+                outcome: RunOutcome::Stopped,
+                events: 0,
+                end_time: SimTime::ZERO,
+                flows_completed: net.completed_flows(),
+                app_done: true,
+                peak_pending: sched.peak_pending(),
+            };
+        }
+
+        let (outcome, stats) = sched.run(|sched, now, ev| {
+            match ev {
+                Event::AppTimer { token } => app.on_timer(token, net, now),
+                other => net.handle(other, now),
+            }
+            for f in net.take_completed() {
+                app.on_flow_complete(f, net, now);
+            }
+            drain(sched, &mut inbox, net, now);
             !app.done(net)
         });
 

@@ -2,7 +2,7 @@
 
 use ecn_core::{ProtectionMode, QdiscSpec, RedConfig, SimpleMarkingConfig};
 use netpacket::{NodeId, PacketKind};
-use netsim::{ClusterSpec, LinkSpec, Network, Simulation, StaticFlows};
+use netsim::{ClusterSpec, Event, LinkSpec, Network, Simulation, StaticFlows};
 use simevent::{SimDuration, SimTime};
 use tcpstack::{EcnMode, TcpConfig};
 
@@ -535,4 +535,50 @@ fn oversubscribed_uplink_congests_the_core() {
         uplink_peak > 10,
         "oversubscribed uplinks must build queues: {uplink_peak}"
     );
+}
+
+#[test]
+fn superseded_host_timer_is_dropped() {
+    // A HostTimers event away from the host's armed instant is superseded: it
+    // must not run an endpoint timer or re-arm a duplicate, on either
+    // per-packet path. Only the event at the armed instant does work.
+    for reference in [false, true] {
+        let mut net = Network::new(droptail_cluster(1, 2, 100, 1));
+        net.set_reference_mode(reference);
+        net.add_flow(
+            NodeId(0),
+            NodeId(1),
+            10_000,
+            TcpConfig::default(),
+            SimTime::ZERO,
+        );
+        let armed: Vec<SimTime> = net
+            .take_pending()
+            .into_iter()
+            .filter_map(|(t, _, e)| matches!(e, Event::HostTimers { host: 0 }).then_some(t))
+            .collect();
+        assert_eq!(armed.len(), 1, "the SYN arms one host timer");
+        let armed = armed[0];
+        let stats = net.sender_stats_total();
+        let early = SimTime::from_nanos(armed.as_nanos() - 1);
+        for stale in [early, armed + SimDuration::from_millis(1)] {
+            net.handle(Event::HostTimers { host: 0 }, stale);
+            assert_eq!(net.sender_stats_total(), stats, "stale fire ran a timer");
+            let pending = net.take_pending();
+            assert!(
+                pending.is_empty(),
+                "stale fire at {stale} queued {pending:?}"
+            );
+        }
+        // The event at the armed instant still retransmits the SYN.
+        net.handle(Event::HostTimers { host: 0 }, armed);
+        assert_eq!(
+            net.sender_stats_total().syn_retransmits,
+            stats.syn_retransmits + 1
+        );
+        assert!(net
+            .take_pending()
+            .iter()
+            .any(|(_, _, e)| matches!(e, Event::HostTimers { host: 0 })));
+    }
 }

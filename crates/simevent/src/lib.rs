@@ -11,8 +11,10 @@
 //!   for events scheduled at the same instant, which is required for
 //!   deterministic packet ordering. The one queue backend: every event loop
 //!   (serial and sharded) runs on it.
-//! * [`TimerHandle`] cancellation (O(1) lazy deletion), so rearmed timers
-//!   (TCP RTO, delayed ACK) stop ballooning the pending-event set.
+//! * [`TimerHandle`] cancellation (O(1) lazy deletion) on [`EventQueue`] and
+//!   [`QueueBackend`]. No simulator loop cancels: `netsim` drops a
+//!   superseded host timer when it fires. The methods stay because the
+//!   benchmark's instrumented queue wrapper implements them.
 //! * [`Scheduler`] — a run-to-completion driver with event accounting and a
 //!   hard time limit to guard against runaway simulations; generic over the
 //!   [`QueueBackend`], defaulting to [`EventQueue`].

@@ -109,7 +109,7 @@ pub trait QueueBackend<E> {
 /// Events are popped in nondecreasing time order; events scheduled for the
 /// same instant are popped in scheduling order (or by the configured
 /// [`TieBreak`]). The simulator's traffic keeps at most a few hundred events
-/// pending and cancels almost none of them, the regime where a binary heap
+/// pending and cancels none of them, the regime where a binary heap
 /// beats bucketed queues on both speed and memory (DESIGN.md §12).
 #[derive(Debug)]
 pub struct EventQueue<E> {
@@ -140,22 +140,6 @@ impl<E> EventQueue<E> {
             scheduled_total: 0,
             cancels: CancelSet::default(),
             tie_break,
-        }
-    }
-
-    /// An empty queue with room for `cap` events before reallocating.
-    ///
-    /// `cap` is a lower bound on the initial allocation, not a limit: the
-    /// queue grows past it transparently, and [`capacity`](Self::capacity)
-    /// may report more than requested. Counters (`scheduled_total`, `seq`)
-    /// start at zero exactly as with [`new`](Self::new).
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-            scheduled_total: 0,
-            cancels: CancelSet::default(),
-            tie_break: TieBreak::Fifo,
         }
     }
 
@@ -418,22 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_preallocates_and_shrinks() {
-        let mut q: EventQueue<u64> = EventQueue::with_capacity(256);
-        assert!(q.capacity() >= 256, "with_capacity is a lower bound");
-        assert_eq!(q.scheduled_total(), 0, "capacity does not affect counters");
-        for i in 0..16u64 {
-            q.schedule(SimTime::from_nanos(i), i);
-        }
-        while q.pop().is_some() {}
-        q.shrink_to_fit();
-        assert!(q.capacity() < 256, "shrink_to_fit releases the burst");
-        // The queue still works after shrinking.
-        q.schedule(SimTime::from_nanos(1), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(1), 1)));
-    }
-
-    #[test]
     fn shrink_to_fit_compacts_cancelled_tombstones() {
         // Regression: a burst of rearmed timers leaves the heap full of
         // cancelled tombstones; shrink_to_fit used to shrink around them, so
@@ -460,6 +428,17 @@ mod tests {
         // The surviving handle is still live and still cancellable.
         assert!(q.cancel(keeper));
         assert!(q.pop().is_none());
+
+        // A plain burst drained by pops is released too, and the queue still
+        // works after shrinking.
+        for i in 0..1024u64 {
+            q.schedule(SimTime::from_nanos(i), i);
+        }
+        while q.pop().is_some() {}
+        q.shrink_to_fit();
+        assert!(q.capacity() < 1024, "shrink_to_fit releases the burst");
+        q.schedule(SimTime::from_nanos(1), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(1), 1)));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Run-to-completion simulation driver.
 
-use crate::handle::TimerHandle;
 use crate::queue::{EventQueue, QueueBackend};
 use crate::tiebreak::TieBreak;
 use crate::time::SimTime;
@@ -120,37 +119,6 @@ impl<E, Q: QueueBackend<E>> Scheduler<E, Q> {
         self.note_pending();
     }
 
-    /// Like [`schedule_at`](Self::schedule_at), but the returned handle can
-    /// cancel the event before it fires — the tool rearming timers (TCP RTO,
-    /// delayed ACK) need so superseded deadlines stop accumulating.
-    pub fn schedule_cancellable_at(&mut self, at: SimTime, event: E) -> TimerHandle {
-        self.schedule_cancellable_at_in_lane(at, 0, event)
-    }
-
-    /// Cancellable scheduling with an explicit lane (see
-    /// [`schedule_at_in_lane`](Self::schedule_at_in_lane)).
-    pub fn schedule_cancellable_at_in_lane(
-        &mut self,
-        at: SimTime,
-        lane: u64,
-        event: E,
-    ) -> TimerHandle {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: {at} < {}",
-            self.now
-        );
-        let h = self.queue.schedule_cancellable_in_lane(at, lane, event);
-        self.note_pending();
-        h
-    }
-
-    /// Cancel a pending event. Returns `false` (harmlessly) if it already
-    /// fired or was already cancelled.
-    pub fn cancel(&mut self, handle: TimerHandle) -> bool {
-        self.queue.cancel(handle)
-    }
-
     /// Pending event count.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -166,8 +134,7 @@ impl<E, Q: QueueBackend<E>> Scheduler<E, Q> {
     ///
     /// Without the re-arm, a scheduler reused across bursts (as the sweep
     /// harness does between points) keeps reporting the stale all-time peak
-    /// even though the burst's storage — including any cancelled tombstones
-    /// the queue compacts here — is gone.
+    /// even though the burst's storage is gone.
     pub fn shrink_to_fit(&mut self) {
         self.queue.shrink_to_fit();
         self.peak_pending = self.queue.len();
@@ -289,17 +256,15 @@ mod tests {
 
     #[test]
     fn shrink_to_fit_rearms_peak_pending() {
-        // Regression: after a burst of rearmed (cancelled) timers drains,
-        // shrink_to_fit must both compact the queue and reset the high-water
-        // mark, or the next burst reports the stale peak.
+        // Regression: after a burst drains, shrink_to_fit must both compact
+        // the queue and reset the high-water mark, or the next burst reports
+        // the stale peak.
         let mut s: Scheduler<u32> = Scheduler::default();
-        let mut handles = Vec::new();
         for i in 0..512u64 {
-            handles.push(s.schedule_cancellable_at(SimTime::from_nanos(100 + i), 0));
+            s.schedule_at(SimTime::from_nanos(100 + i), 0);
         }
-        for h in handles {
-            assert!(s.cancel(h));
-        }
+        let (_, stats) = s.run(|_, _, _| true);
+        assert_eq!(stats.events_processed, 512);
         assert_eq!(s.peak_pending(), 512, "burst peak recorded");
         assert_eq!(s.pending(), 0);
         s.shrink_to_fit();

@@ -1,7 +1,7 @@
 //! Determinism regression: the same seed must yield the same metrics, run to
-//! run and event loop to event loop.
+//! run and per-packet path to per-packet path.
 //!
-//! The fast-path work (timer cancellation, batching, slab lookups) is
+//! The fast-path work (pooled packets, batching, slab lookups) is
 //! only admissible because it is bit-for-bit output-preserving; these tests
 //! pin that property across every transport × queue combination the paper
 //! sweeps.
@@ -46,14 +46,13 @@ fn terasort_repeats_identically_per_combo() {
     }
 }
 
-/// The production event loop (`Simulation::run`: timer cancellation, pooled
-/// packets, batched flushes) and the seed loop it replaced
-/// (`run_reference` on a reference-mode network: spurious timer fires, a
-/// Box per packet, full-scan flushes) must reach the same outcome on a full
-/// Terasort run. Only the event count may differ: the seed loop also
-/// processes the superseded timers.
+/// The production per-packet path (pooled packets, batched flushes, slab
+/// lookups) and the seed algorithms it replaced (a reference-mode network: a
+/// Box per packet, full-scan flushes, map lookups) must reach the same
+/// outcome on a full Terasort run under the one event loop, `Simulation::run`,
+/// processing the same events.
 #[test]
-fn run_and_reference_loop_agree_on_terasort() {
+fn fast_and_reference_network_agree_on_terasort() {
     let run = |reference: bool| {
         let spec = ClusterSpec {
             racks: 2,
@@ -73,12 +72,9 @@ fn run_and_reference_loop_agree_on_terasort() {
         net.set_reference_mode(reference);
         let app = TerasortJob::new(job, n);
         let mut sim = Simulation::new(net, app);
-        let report = if reference {
-            sim.run_reference()
-        } else {
-            sim.run()
-        };
+        let report = sim.run();
         (
+            report.events,
             report.end_time,
             report.app_done,
             sim.app.result(),
