@@ -2,7 +2,7 @@
 //!
 //! Re-runs the pinned scenario grid under N seeded permutations of
 //! same-instant tie-break order and fails (exit 1) on any metrics or trace
-//! divergence; also asserts the production FIFO order is run-to-run
+//! divergence from the production seed's run, which must also be run-to-run
 //! reproducible. Artifacts for diverging cells are left under
 //! `results/simverify/<cell>/` (CI uploads them on failure).
 //!

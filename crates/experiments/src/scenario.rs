@@ -188,12 +188,12 @@ pub struct ScenarioConfig {
     /// [`TcpConfig::with_cc`]). Part of the sweep cache key: adding the
     /// field re-keys every cached point.
     pub cc: Option<CcAlg>,
-    /// Same-instant tie-break permutation seed. `None` (the default, and the
-    /// production contract) pops same-timestamp events FIFO; `Some(seed)`
-    /// runs the whole simulation under `TieBreak::Permuted(seed)` — the
-    /// `simverify` hook that proves results are tie-break-order independent.
-    /// Part of the sweep cache key like every other field.
-    pub tie_seed: Option<u64>,
+    /// Same-instant tie-break seed: the whole simulation, serial or sharded,
+    /// runs under `TieBreak(tie_seed)`. Defaults to the engine's seed
+    /// (`TieBreak::default()`); `simverify` sets others to prove results
+    /// do not depend on it. Part of the sweep cache key like every other
+    /// field.
+    pub tie_seed: u64,
     /// Base RNG seed.
     pub seed: u64,
     /// Independent repetitions per point (different seeds); reported metrics
@@ -219,7 +219,7 @@ impl Default for ScenarioConfig {
             mean_packet_bytes: 1526,
             shuffle_jitter: SimDuration::from_millis(10),
             cc: None,
-            tie_seed: None,
+            tie_seed: simevent::TieBreak::default().0,
             seed: 20170905, // CLUSTER 2017 conference date
             seed_count: 3,
             time_limit: SimTime::from_secs(600),
@@ -529,9 +529,7 @@ pub fn run_scenario_once_full(
     let app = TerasortJob::new(job, n);
     let mut sim = Simulation::new(net, app);
     sim.time_limit = cfg.time_limit;
-    if let Some(tie_seed) = cfg.tie_seed {
-        sim.tie_break = simevent::TieBreak::Permuted(tie_seed);
-    }
+    sim.tie_break = simevent::TieBreak(cfg.tie_seed);
     let report = match cfg.shards {
         Some(shards) => {
             assert!(

@@ -347,4 +347,19 @@ mod tests {
         assert_ne!(base_json, fat_json, "topology must re-key points");
         assert_ne!(key_hash(&base_json), key_hash(&fat_json));
     }
+
+    #[test]
+    fn cache_key_carries_the_tie_break_seed() {
+        use crate::simsweep::key_json;
+
+        // Points cached when the serial loop broke ties FIFO were keyed
+        // `"tie_seed":null`; the seed itself in the key makes them miss.
+        let base = baseline_key(&ScenarioConfig::tiny(), BufferDepth::Shallow);
+        let json = key_json(&base);
+        let seed = simevent::TieBreak::default().0;
+        assert!(json.contains(&format!("\"tie_seed\":{seed}")), "{json}");
+        let mut other = base.clone();
+        other.config.tie_seed = seed + 1;
+        assert_ne!(json, key_json(&other), "the seed must re-key points");
+    }
 }

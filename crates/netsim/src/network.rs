@@ -362,9 +362,9 @@ pub struct Network {
     /// Events generated since the last drain, each tagged with the lane of
     /// the *producing* entity ([`dev_lane`], or a reserved lane). The sim
     /// loop packs producer + destination into the tie-break lane so that
-    /// under [`simevent::TieBreak::Permuted`] same-instant events at one
-    /// destination keep a canonical per-source order — the deterministic
-    /// merge a sharded engine performs on its inbound channels.
+    /// under [`simevent::TieBreak`] same-instant events at one destination
+    /// keep a canonical per-source order — the deterministic merge a
+    /// sharded engine performs on its inbound channels.
     pending: Vec<(SimTime, u16, Event)>,
     /// The packet arena every [`Event::Arrive`] and port queue indexes into.
     /// In reference mode its storage is one `Box` per packet (seed model).

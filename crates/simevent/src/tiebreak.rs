@@ -1,40 +1,42 @@
 //! Same-timestamp tie-break policy for event queues.
 //!
-//! Every queue backend orders pops by `(time, tie)` where `tie` is derived
-//! from the monotone schedule sequence number and the event's *lane*: a
-//! packed `(dest, src)` pair naming the entity that will handle the event
-//! and the entity that produced it. Under [`TieBreak::Fifo`] the tie key
-//! *is* the sequence number, so same-instant events pop in the order they
-//! were scheduled — the production default the whole determinism contract
-//! is written against.
+//! Every queue orders pops by `(time, tie)` where `tie` is derived from the
+//! monotone schedule sequence number and the event's *lane*: a packed
+//! `(dest, src)` pair naming the entity that will handle the event and the
+//! entity that produced it. [`TieBreak`] is the one same-instant contract,
+//! shared by the serial loop and every shard of the sharded engine.
 //!
-//! [`TieBreak::Permuted`] reorders same-instant events *across destination
-//! entities* by a seeded pseudo-random rank, while ordering events for the
-//! same destination canonically by `(src, schedule order)`. That models a
-//! sharded engine (ROADMAP item 2) exactly: shards have no global order at
-//! an instant (the seeded rank is one arbitrary interleaving), but every
-//! shard merges its incoming same-timestamp messages deterministically by
-//! source channel — per-source FIFO, sources in a fixed canonical order.
-//! The `(src, seq)` sub-key is seed-invariant, so one destination's event
-//! order never depends on how *other* entities' same-instant work was
-//! interleaved upstream. Physically contending events (two packets reaching
-//! one port at one instant) therefore keep one pinned order across every
-//! seed; only genuinely concurrent cross-entity work is permuted.
+//! It reorders same-instant events *across destination entities* by a
+//! seeded pseudo-random rank, while ordering events for the same
+//! destination canonically by `(src, schedule order)`. That is exactly what
+//! a sharded engine can implement: shards have no global order at an
+//! instant (the seeded rank is one arbitrary interleaving), but every shard
+//! merges its incoming same-timestamp messages deterministically by source
+//! channel — per-source FIFO, sources in a fixed canonical order. The
+//! `(src, seq)` sub-key is seed-invariant, so one destination's event order
+//! never depends on how *other* entities' same-instant work was interleaved
+//! upstream. Physically contending events (two packets reaching one port at
+//! one instant) therefore keep one pinned order across every seed; only
+//! genuinely concurrent cross-entity work is permuted. A queue whose events
+//! all share one lane (say lane 0) pops same-instant events FIFO.
 //!
-//! `simverify` re-runs pinned scenarios under several permutation seeds:
-//! any metrics or trace divergence means some handler depends on
-//! cross-entity same-timestamp order — an order-dependence bug that would
-//! silently break sharded execution.
+//! Every run uses the [`Default`] seed. `simverify` re-runs pinned
+//! scenarios under other seeds: any metrics or trace divergence from the
+//! default means some handler depends on cross-entity same-timestamp order
+//! — an order-dependence bug that would also make a result depend on the
+//! shard count.
 
-/// How same-timestamp events are ordered relative to each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TieBreak {
-    /// Global schedule order (FIFO). The production default.
-    #[default]
-    Fifo,
-    /// Seeded pseudo-random rank over destination entities; canonical
-    /// `(src, schedule order)` within a destination.
-    Permuted(u64),
+/// How same-timestamp events are ordered relative to each other: a seeded
+/// pseudo-random rank over destination entities, and canonical
+/// `(src, schedule order)` within one destination. The field is the seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TieBreak(pub u64);
+
+impl Default for TieBreak {
+    /// The seed of every simulation run; `simverify` permutes it.
+    fn default() -> Self {
+        TieBreak(0x51AD_2017_0905_CDE5)
+    }
 }
 
 /// Pack a `(dest, src)` entity pair into the `lane` argument of the
@@ -58,32 +60,25 @@ impl TieBreak {
     /// Map a schedule sequence number and packed lane to the tie key used in
     /// `(time, tie)` ordering.
     ///
-    /// `Fifo` ignores the lane and returns `seq` — the identity, so ordering
-    /// is bit-identical to the historical `(time, seq)` contract. `Permuted`
-    /// packs `[dest_rank:16][src:16][seq:32]`: destinations sort by a
+    /// Packs `[dest_rank:16][src:16][seq:32]`: destinations sort by a
     /// seed-dependent hash rank, one destination's events sort canonically
-    /// by `(src, seq)`. Supports 2³² events and 2¹⁶ entities per run
-    /// (debug-asserted; the pinned simverify grids are orders of magnitude
-    /// below both).
+    /// by `(src, seq)`. Supports 2³² events and 2¹⁶ entities per queue
+    /// (debug-asserted; the simulations run orders of magnitude below
+    /// both).
     #[inline]
     pub fn key(self, seq: u64, lane: u64) -> u64 {
-        match self {
-            TieBreak::Fifo => seq,
-            TieBreak::Permuted(seed) => {
-                debug_assert!(
-                    seq < (1 << 32),
-                    "permuted tie-break supports at most 2^32 events per run"
-                );
-                debug_assert!(
-                    lane < (1 << 32),
-                    "lane must be pack_lane(dest, src) with 16-bit entities"
-                );
-                let dest = lane >> 16;
-                let src = lane & 0xffff;
-                let dest_rank = mix(dest ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)) >> 48;
-                (dest_rank << 48) | (src << 32) | (seq & 0xffff_ffff)
-            }
-        }
+        debug_assert!(
+            seq < (1 << 32),
+            "the tie-break supports at most 2^32 events per queue"
+        );
+        debug_assert!(
+            lane < (1 << 32),
+            "lane must be pack_lane(dest, src) with 16-bit entities"
+        );
+        let dest = lane >> 16;
+        let src = lane & 0xffff;
+        let dest_rank = mix(dest ^ self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15)) >> 48;
+        (dest_rank << 48) | (src << 32) | (seq & 0xffff_ffff)
     }
 }
 
@@ -93,10 +88,12 @@ mod tests {
     use std::collections::BTreeSet;
 
     #[test]
-    fn fifo_is_identity() {
-        for seq in [0u64, 1, 7, u64::MAX] {
-            assert_eq!(TieBreak::Fifo.key(seq, pack_lane(3, 1)), seq);
-            assert_eq!(TieBreak::Fifo.key(seq, pack_lane(99, 7)), seq);
+    fn one_lane_is_fifo_under_the_default_seed() {
+        // Single-lane users (application timers, microbenchmarks) rely on
+        // schedule order at an instant.
+        let tb = TieBreak::default();
+        for seq in 0..1000u64 {
+            assert!(tb.key(seq, 0) < tb.key(seq + 1, 0));
         }
     }
 
@@ -106,7 +103,7 @@ mod tests {
         // order would stop being total. Low 32 bits carry seq, so keys are
         // distinct whatever the lanes hash to.
         for seed in [0u64, 1, 42, 0xdead_beef] {
-            let tb = TieBreak::Permuted(seed);
+            let tb = TieBreak(seed);
             let keys: BTreeSet<u64> = (0..10_000u64)
                 .map(|s| tb.key(s, pack_lane((s % 7) as u16, (s % 3) as u16)))
                 .collect();
@@ -117,7 +114,7 @@ mod tests {
     #[test]
     fn permuted_preserves_fifo_within_a_lane() {
         for seed in [0u64, 1, 7] {
-            let tb = TieBreak::Permuted(seed);
+            let tb = TieBreak(seed);
             for dest in 0..4u16 {
                 for src in 0..4u16 {
                     let lane = pack_lane(dest, src);
@@ -140,7 +137,7 @@ mod tests {
         // to one order while cross-entity order is permuted.
         let events: Vec<(u64, u16)> = vec![(0, 9), (1, 2), (2, 9), (3, 0), (4, 2), (5, 1)];
         let order = |seed: u64| {
-            let tb = TieBreak::Permuted(seed);
+            let tb = TieBreak(seed);
             let mut evs = events.clone();
             evs.sort_by_key(|&(seq, src)| tb.key(seq, pack_lane(7, src)));
             evs
@@ -161,18 +158,18 @@ mod tests {
     #[test]
     fn permuted_reorders_across_dests() {
         // With 16 destinations some pair must invert relative to schedule
-        // order, otherwise Permuted degenerates into Fifo.
-        let tb = TieBreak::Permuted(1);
+        // order, otherwise the key degenerates into global FIFO.
+        let tb = TieBreak(1);
         let inverted = (0..16u64).any(|i| {
             tb.key(i, pack_lane(i as u16, 0)) > tb.key(i + 1, pack_lane(((i + 1) % 16) as u16, 0))
         });
-        assert!(inverted, "Permuted(1) preserved global FIFO across dests");
+        assert!(inverted, "TieBreak(1) preserved global FIFO across dests");
     }
 
     #[test]
     fn distinct_seeds_give_distinct_dest_orders() {
         let order = |seed: u64| {
-            let tb = TieBreak::Permuted(seed);
+            let tb = TieBreak(seed);
             let mut dests: Vec<u16> = (0..32).collect();
             dests.sort_by_key(|&d| tb.key(0, pack_lane(d, 0)));
             dests

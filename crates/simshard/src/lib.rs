@@ -26,8 +26,8 @@
 //! entity)` — `simevent::pack_lane` — one destination's same-instant inbox
 //! keeps a canonical per-source order no matter how many shards produced it
 //! or how their windows interleaved in wall-clock time. That is exactly the
-//! order `simevent::TieBreak::Permuted` serialises, so a sharded run is
-//! byte-identical to the one-shard run of the same windowed engine.
+//! order `simevent::TieBreak` serialises, so a sharded run is
+//! byte-identical to the one-shard run and to the serial loop.
 //!
 //! Workers are *persistent*: one thread per shard, parked on a condvar
 //! between windows. Spawning threads per window (rayon-style scoped joins)
